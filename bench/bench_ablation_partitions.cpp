@@ -10,7 +10,7 @@
 //                      one hot key, whose partition serializes them (100%
 //                      = every request lands on one pipeline: partitioning
 //                      cannot help, routing overhead is what remains);
-//   * workers        — the parallel executor's pool size inside EACH
+//   * workers        — the affinity executor's pool size inside EACH
 //                      pipeline (1 = serial executor), showing the two
 //                      scaling axes compose.
 //
@@ -33,14 +33,16 @@ using namespace mcsmr;
 namespace {
 
 /// KvService with per-request off-CPU work applied outside the state
-/// lock; deterministic (the wait never touches state).
+/// lock; deterministic (the wait never touches state). The hook is
+/// execute_at so both executors pay it: serial execute() forwards to it,
+/// affinity workers call it directly.
 class IoBoundKvService : public smr::KvService {
  public:
   explicit IoBoundKvService(std::uint64_t sleep_ns) : sleep_ns_(sleep_ns) {}
 
-  Bytes execute(const Bytes& request) override {
+  Bytes execute_at(const Bytes& request, std::uint64_t instance) override {
     if (sleep_ns_ > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns_));
-    return KvService::execute(request);
+    return KvService::execute_at(request, instance);
   }
 
  private:
@@ -65,6 +67,7 @@ int main(int argc, char** argv) {
               "throughput", "p50 lat");
 
   for (int workers : worker_counts) {
+    const ExecutorImpl executor = workers > 1 ? ExecutorImpl::kAffinity : ExecutorImpl::kSerial;
     for (int conflict : conflicts) {
       auto& series = report
                          .series("kv conflict=" + std::to_string(conflict) +
@@ -72,6 +75,7 @@ int main(int argc, char** argv) {
                                  "real", "throughput", "req/s", "partitions")
                          .config("conflict_pct", conflict)
                          .config("workers", workers)
+                         .config("executor_impl", to_string(executor))
                          .config("service_sleep_ns", static_cast<double>(kServiceSleepNs))
                          .config("workload", "kv");
       for (int partitions : partition_counts) {
@@ -80,10 +84,8 @@ int main(int argc, char** argv) {
         params.net.node_pps = 0;         // pipelines are the bottleneck
         params.net.node_bandwidth_bps = 0;
         params.config.num_partitions = static_cast<std::uint32_t>(partitions);
-        if (workers > 1) {
-          params.config.executor_impl = ExecutorImpl::kParallel;
-          params.config.executor_workers = static_cast<std::size_t>(workers);
-        }
+        params.config.executor_impl = executor;
+        params.config.executor_workers = static_cast<std::size_t>(workers);
         params.service_factory = [] {
           return std::make_unique<IoBoundKvService>(kServiceSleepNs);
         };

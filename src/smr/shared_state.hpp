@@ -61,13 +61,13 @@ struct SharedState {
   std::atomic<std::uint64_t> dropped_batches{0};       ///< leadership-loss drains
   std::atomic<std::uint64_t> redirected_requests{0};
   std::atomic<std::uint64_t> cached_replies{0};
-  /// Ring reply path only: edge-triggered wake-ups sent to ClientIO
-  /// threads. replies/wakeups is the reply-batching factor the ring buys.
+  /// Edge-triggered reply-ring wake-ups sent to ClientIO threads.
+  /// replies/wakeups is the reply-batching factor the ring buys.
   std::atomic<std::uint64_t> reply_wakeups{0};
-  /// Ring reply path only: replies dropped after the bounded push wait
-  /// (reply ring full for kReplyPushBudget). The drop keeps the
-  /// ServiceManager out of the backpressure cycle — the client retry is
-  /// answered from the reply cache, preserving exactly-once.
+  /// Replies dropped after the bounded push wait (reply ring full for
+  /// kReplyPushBudgetNs). The drop keeps the ServiceManager out of the
+  /// backpressure cycle — the client retry is answered from the reply
+  /// cache, preserving exactly-once.
   std::atomic<std::uint64_t> dropped_replies{0};
   /// Lease read path: reads served locally without a Paxos instance, and
   /// reads that fell back to consensus (no lease / frontier lag).

@@ -4,16 +4,13 @@
 //
 // The reply path preserves the paper's structure: the ServiceManager does
 // NOT write to the network itself — it hands each reply to the IO thread
-// owning the client's "connection", and that thread serializes and
-// performs the network send. Two implementations, selected by
-// Config::queue_impl:
-//   kMutex — legacy: each reply is injected as a directive into the IO
-//            thread's SimNet inbox (a mutex-queue hand-off per reply);
-//   kRing  — each IO thread owns an SPSC reply ring (single ServiceManager
-//            producer); the ServiceManager pushes frames lock-free and
-//            injects one empty wake message per burst (edge-triggered via
-//            an atomic flag), so a batch of B replies costs B ring ops +
-//            1 inbox hand-off instead of B inbox hand-offs.
+// owning the client's "connection" through that thread's reply ring
+// (ReplyRings, smr/client_io.hpp), and that thread serializes and
+// performs the network send. The wake is one empty message injected into
+// the IO thread's SimNet inbox per burst of replies.
+//
+// Only request frames are accepted on a ClientIO channel; anything else
+// is dropped, so no SimNet peer can forge a reply to another client.
 #pragma once
 
 #include <vector>
@@ -54,7 +51,6 @@ class SimClientIo : public ClientIo {
     return static_cast<int>(client % static_cast<std::uint64_t>(io_threads_));
   }
   void io_loop(int thread_index);
-  void drain_replies(int thread_index);
 
   // Owned copy, not a reference: a stored Config& tied this object's
   // lifetime to the constructor argument (the PR-6 dangling-Config bug
@@ -63,20 +59,12 @@ class SimClientIo : public ClientIo {
   net::SimNetwork& net_;
   const net::NodeId self_node_;
   RequestGate gate_;
-  SharedState& shared_;
   const int io_threads_;
-  const bool ring_replies_;
 
   /// client -> SimNet node to answer to (learned from request frames).
   ClientRegistry<net::NodeId> reply_nodes_;
 
-  // Ring reply path (queue_impl == kRing): one SPSC queue + wake flag per
-  // IO thread. wake_pending_[t] true means a wake message is already in
-  // flight (or the IO thread has not yet drained), so pushes skip the
-  // inject; the IO thread clears the flag BEFORE draining, which makes
-  // the push-then-exchange order on the producer side lose no replies.
-  std::vector<std::unique_ptr<PipelineQueue<ClientReplyFrame>>> reply_queues_;
-  std::unique_ptr<std::atomic<bool>[]> wake_pending_;
+  ReplyRings<ClientReplyFrame> replies_;
 
   std::vector<metrics::NamedThread> threads_;
   bool started_ = false;

@@ -2,16 +2,11 @@
 // epoll event loops, and round-robin assignment of accepted connections.
 //
 // Each IO thread owns an EventLoop; a connection lives on exactly one
-// loop for its lifetime. Replies are handed to the owning loop (Fig 3's
+// loop for its lifetime. Replies are handed to the owning loop through
+// its reply ring (ReplyRings, smr/client_io.hpp; Fig 3's
 // per-ClientIO-thread reply queue) and written by that thread, with
-// partial writes buffered and flushed on EPOLLOUT. Two hand-off
-// implementations, selected by Config::queue_impl:
-//   kMutex — legacy: one EventLoop::post (mutex task queue + eventfd
-//            write) per reply;
-//   kRing  — per-loop SPSC reply ring (single ServiceManager producer);
-//            replies are pushed lock-free and one drain task is posted
-//            per burst (edge-triggered via an atomic flag), so a batch of
-//            B replies costs B ring ops + 1 post instead of B posts.
+// partial writes buffered and flushed on EPOLLOUT. The wake is one drain
+// task posted to the loop (EventLoop::post) per burst of replies.
 //
 // Backpressure: the admission gate pushes into the bounded RequestQueue
 // with a blocking push, stalling the IO thread — which therefore stops
@@ -81,16 +76,13 @@ class TcpClientIo : public ClientIo {
   void flush_writes(int thread_index, int fd);
   void close_connection(int thread_index, int fd);
   void enqueue_frame(int thread_index, int fd, Bytes frame);
-  void drain_replies(int thread_index);
 
   // Owned copy, not a reference: a stored Config& tied this object's
   // lifetime to the constructor argument (the PR-6 dangling-Config bug
   // class); lint_invariants.py forbids storing the parameter by ref.
   const Config config_;
   RequestGate gate_;
-  SharedState& shared_;
   const int io_threads_;
-  const bool ring_replies_;
 
   std::optional<net::TcpListener> listener_;
   std::vector<std::unique_ptr<net::EventLoop>> loops_;
@@ -99,12 +91,7 @@ class TcpClientIo : public ClientIo {
 
   ClientRegistry<ConnRef> clients_;
 
-  // Ring reply path (queue_impl == kRing): one SPSC queue + wake flag per
-  // loop. The flag is cleared by the drain task BEFORE it pops, so the
-  // producer's push-then-exchange order guarantees every reply is seen by
-  // some drain (same pattern as SimClientIo).
-  std::vector<std::unique_ptr<PipelineQueue<PendingReply>>> reply_queues_;
-  std::unique_ptr<std::atomic<bool>[]> wake_pending_;
+  ReplyRings<PendingReply> replies_;
 
   std::vector<metrics::NamedThread> threads_;
   metrics::NamedThread accept_thread_;

@@ -56,5 +56,18 @@ TEST(Config, RejectsEvenN) {
   EXPECT_THROW(Config::from_args({"n=4"}), std::invalid_argument);
 }
 
+TEST(Config, ExecutorImplIsSerialOrAffinity) {
+  Config config;
+  EXPECT_EQ(config.executor_impl, ExecutorImpl::kSerial);
+  config.apply_overrides({{"executor_impl", "affinity"}});
+  EXPECT_EQ(config.executor_impl, ExecutorImpl::kAffinity);
+  EXPECT_STREQ(to_string(config.executor_impl), "affinity");
+  config.apply_overrides({{"executor_impl", "serial"}});
+  EXPECT_STREQ(to_string(config.executor_impl), "serial");
+  // The wave executor is gone: its old name is an unknown value.
+  EXPECT_THROW(config.apply_overrides({{"executor_impl", "parallel"}}), std::invalid_argument);
+  EXPECT_EQ(config.executor_impl, ExecutorImpl::kSerial);
+}
+
 }  // namespace
 }  // namespace mcsmr

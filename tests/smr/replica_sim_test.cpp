@@ -96,6 +96,34 @@ TEST(ReplicaSim, DuplicateRequestServedFromReplyCache) {
   EXPECT_GT(cluster.replica(0).shared().cached_replies.load(), 0u);
 }
 
+TEST(ReplicaSim, ForgedReplyOnClientIoChannelIsDropped) {
+  // Any SimNet peer can write to a replica's ClientIO channel. A reply
+  // frame arriving there must be dropped, not forwarded to the client it
+  // names: a client's replies come only from executing its own requests.
+  SimCluster cluster(Config{});
+  cluster.start();
+  ASSERT_TRUE(cluster.wait_for_leader().has_value());
+  auto victim = cluster.make_client(21);
+  ASSERT_TRUE(victim.call(Bytes{1}).has_value());  // the replica learns its node
+
+  auto attacker = cluster.make_client(22);
+  const ClientReplyFrame forged{21, 99, ReplyStatus::kOk, Bytes{0xBA, 0xD0}};
+  cluster.net().send(attacker.node(), cluster.nodes()[0],
+                     kClientIoChannelBase + static_cast<net::Channel>(
+                                                21 % static_cast<std::uint64_t>(
+                                                         cluster.config().client_io_threads)),
+                     encode_client_reply(forged));
+  // A late duplicate of the victim's own reply is harmless; only the
+  // forged one must never arrive.
+  const std::uint64_t deadline = mono_ns() + 500 * kMillis;
+  while (mono_ns() < deadline) {
+    auto message = cluster.net().recv_for(victim.node(), kClientReplyChannel, 50 * kMillis);
+    if (!message.has_value()) continue;
+    const auto decoded = decode_client_frame(message->payload);
+    EXPECT_NE(decoded.reply.seq, forged.seq) << "forged reply reached client 21";
+  }
+}
+
 TEST(ReplicaSim, KvServiceEndToEnd) {
   SimCluster cluster(Config{}, testing::fast_net(),
                      [] { return std::make_unique<KvService>(); });

@@ -5,7 +5,7 @@
 // tests/CMakeLists.txt registers the replica_sim and chaos binaries extra
 // times with them set, so tier-1 exercises the full matrix:
 //   MCSMR_QUEUE_IMPL    ("mutex" | "ring")      -> Config::queue_impl
-//   MCSMR_EXECUTOR_IMPL ("serial" | "parallel" | "affinity")
+//   MCSMR_EXECUTOR_IMPL ("serial" | "affinity")
 //                                               -> Config::executor_impl
 //   MCSMR_PARTITIONS    ("1", "2", ...)         -> Config::num_partitions
 //   MCSMR_LOG_STORAGE   ("memory" | "segment")  -> Config::log_storage
